@@ -43,11 +43,12 @@ Status RecordManager::Undo(Transaction* txn, const LogRecord& rec) {
       clr.op = heap::kOpUnformat;
       break;
     }
-    case heap::kOpSetNext: {
-      PageId old_next = r.GetFixed32();
-      PageId new_next = r.GetFixed32();
-      clr.op = heap::kOpSetNext;
-      clr.payload = heap::EncodeSetNext(new_next, old_next);  // swapped
+    case heap::kOpSetNext:
+    case heap::kOpSetTail: {
+      PageId old_target = r.GetFixed32();
+      PageId new_target = r.GetFixed32();
+      clr.op = rec.op;
+      clr.payload = heap::EncodeLink(new_target, old_target);  // swapped
       break;
     }
     default:

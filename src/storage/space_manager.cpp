@@ -126,20 +126,6 @@ Result<bool> SpaceManager::IsAllocated(PageId id) {
   return TestBit(page.view(), bit);
 }
 
-Result<PageId> SpaceManager::HighestAllocated() {
-  for (PageId m = kSpaceMapPages; m-- > 0;) {
-    ARIES_ASSIGN_OR_RETURN(PageGuard page,
-                           ctx_->pool->FetchPage(m, LatchMode::kShared));
-    PageView v = page.view();
-    for (uint32_t bit = static_cast<uint32_t>(BitsPerMapPage()); bit-- > 0;) {
-      PageId id = static_cast<PageId>(static_cast<uint64_t>(m) * BitsPerMapPage() + bit);
-      if (id < kSpaceMapPages) break;  // map pages themselves don't count
-      if (TestBit(v, bit)) return id;
-    }
-  }
-  return Status::NotFound("no allocated pages");
-}
-
 Result<uint64_t> SpaceManager::AllocatedCount() {
   uint64_t count = 0;
   for (PageId m = 0; m < kSpaceMapPages; ++m) {

@@ -42,10 +42,6 @@ class SpaceManager final : public ResourceManager {
 
   /// True if `id` is currently allocated (test/validation helper).
   Result<bool> IsAllocated(PageId id);
-  /// Highest allocated page id, excluding the map pages (NotFound if none).
-  /// Reads the map through the pool, so the answer is exact even when the
-  /// data file itself has never been flushed (e.g. right after a restart).
-  Result<PageId> HighestAllocated();
   /// Number of allocated pages, excluding the map pages (test helper).
   Result<uint64_t> AllocatedCount();
 

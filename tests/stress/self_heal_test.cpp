@@ -351,5 +351,34 @@ TEST_F(SelfHealDeviceTest, StuckDeviceRiddenOutByRetryBackoff) {
   VerifyColdTable();
 }
 
+using ColdPageIsolationTest = SelfHealBase;
+
+// The interleaving behind BitRotOnColdPagesRepairedOnlineUnderLoad, pinned
+// without threads: the *first* insert into the workload table lands between
+// evicting a cold page and rotting it on disk. Finding that table's chain
+// tail must not fetch the cold page back in, or the good image stays cached
+// and the rot is never read — nor repaired.
+TEST_F(ColdPageIsolationTest, FirstInsertElsewhereLeavesEvictedColdPageAlone) {
+  OpenDb(FaultTestOptions());
+  SeedColdTable(60);
+  std::vector<PageId> cold_pages = ColdPages();
+  ASSERT_GE(cold_pages.size(), 3u);
+  PageId victim = cold_pages.front();
+  EvictPage(victim);
+  Transaction* txn = db_->Begin();
+  ASSERT_OK(table_->Insert(txn, {"first", "v"}));
+  ASSERT_OK(db_->Commit(txn));
+  Metrics& m = db_->metrics();
+  uint64_t before = m.pages_repaired_online.load();
+  CorruptPageOnDisk(dir_->path(), victim, db_->options().page_size);
+  {
+    auto g = db_->pool()->FetchPage(victim, LatchMode::kShared);
+    ASSERT_TRUE(g.ok()) << g.status().ToString();
+  }
+  EXPECT_EQ(m.pages_repaired_online.load(), before + 1) << "page " << victim;
+  EXPECT_EQ(db_->Health(), EngineHealth::kHealthy);
+  VerifyColdTable();
+}
+
 }  // namespace
 }  // namespace ariesim

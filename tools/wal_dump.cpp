@@ -14,8 +14,8 @@ using namespace ariesim;
 static const char* HeapOpName(uint8_t op) {
   static const char* kNames[] = {"?",      "insert",   "delete", "update",
                                  "format", "set_next", "unformat", "revive",
-                                 "purge"};
-  return op <= 8 ? kNames[op] : "??";
+                                 "purge",  "set_tail"};
+  return op <= 9 ? kNames[op] : "??";
 }
 
 static const char* BtOpName(uint8_t op) {
@@ -85,12 +85,13 @@ int main(int argc, char** argv) {
           extra += " slot=" + std::to_string(r.GetFixed16());
           break;
         }
-        case heap::kOpSetNext: {
+        case heap::kOpSetNext:
+        case heap::kOpSetTail: {
           BufferReader r(rec.payload);
-          PageId old_next = r.GetFixed32();
-          PageId new_next = r.GetFixed32();
-          extra += " " + std::to_string(old_next) + "->" +
-                   std::to_string(new_next);
+          PageId old_target = r.GetFixed32();
+          PageId new_target = r.GetFixed32();
+          extra += " " + std::to_string(old_target) + "->" +
+                   std::to_string(new_target);
           break;
         }
         default:
